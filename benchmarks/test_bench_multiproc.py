@@ -6,7 +6,9 @@ actual seconds on actual cores.  The workload is a random tree tuned so
 subtree tasks are large relative to one pickle/IPC round-trip and
 numerous enough to keep eight workers fed (54+ tasks), with
 ``max_e_children=1`` keeping total speculative work near the serial node
-count.
+count.  Serial and parallel sides are timed alike: one untimed warm-up,
+then the best of :data:`~repro.parallel.multiproc.TIMING_REPEATS` runs,
+each P on its own warmed pool.
 
 Speedup assertions are gated on the machine: a container pinned to one
 core cannot show wall-clock speedup no matter how correct the backend
@@ -17,22 +19,13 @@ either way.
 
 from __future__ import annotations
 
-import os
-
 from repro.core.er_parallel import ERConfig
 from repro.core.serial_er import er_search
 from repro.games.base import SearchProblem
 from repro.games.random_tree import RandomGameTree
-from repro.parallel.multiproc import measure_serial_seconds, scaling_run
+from repro.parallel.multiproc import available_cores, measure_serial_seconds, scaling_run
 
 WORKER_COUNTS = (1, 2, 4, 8)
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _workload(scale: str) -> tuple[SearchProblem, ERConfig]:
@@ -74,7 +67,7 @@ def test_multiproc_scaling(benchmark, scale, record_scaling, record_ledger):
         config={"serial_depth": config.serial_depth, "max_e_children": 1},
     )
 
-    cores = _available_cores()
+    cores = available_cores()
     benchmark.extra_info["cores"] = cores
     benchmark.extra_info["serial_seconds"] = round(serial_seconds, 3)
     benchmark.extra_info["speedup"] = {

@@ -41,3 +41,7 @@ class VerificationError(ReproError):
 
 class ServeError(ReproError):
     """The search service was asked something it cannot honor."""
+
+
+class WorkerPoolError(ReproError):
+    """A worker-process pool lost a worker or was used after shutdown."""

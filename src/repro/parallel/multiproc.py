@@ -24,7 +24,11 @@ the shared problem heap was cheap and the static evaluator dominated):
   boundary by pickling :class:`~repro.games.base.SearchProblem` slices,
   which every bundled game (random trees, explicit trees, tic-tac-toe,
   Connect-4, Othello) supports because positions are plain immutable
-  dataclasses over ints and tuples.
+  dataclasses over ints and tuples.  They travel over one pipe per
+  worker (:class:`~repro.parallel.workers.WorkerPool`): the coordinator
+  writes each task to the least-loaded worker, at most two outstanding
+  per worker, and reads results itself, with no helper thread between
+  it and the workers.
 
 Semantics match the simulator's documented deviations: subtree searches
 run against the window captured at dispatch, results of subtrees
@@ -51,7 +55,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Protocol, Sequence
 
@@ -60,7 +63,7 @@ from ..cache.striped import TT_MODES
 from ..core.er_parallel import E_NODE, R_NODE, UNDECIDED, ERConfig, PNode, _Context
 from ..core.serial_er import TTView, er_search
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
-from ..errors import SearchError, SimulationError
+from ..errors import SearchError, SimulationError, WorkerPoolError
 from ..eval.cache import EVAL_CACHE_MODES, SharedMemoryEvalCache, StripedEvalCache
 from ..eval.evaluator import EvalCacheView, Evaluator
 from ..games.base import Game, RootedGame, SearchProblem, hash_key, subproblem
@@ -68,17 +71,22 @@ from ..obs import events as _obs
 from ..obs import live as _live
 from ..search.stats import SearchStats
 from ..search.transposition import Bound, TranspositionTable, TTEntry
+from .workers import TaskFuture, WorkerPool
 
 __all__ = [
+    "LocalPool",
     "MultiprocResult",
     "PersistentPool",
     "ScalingPoint",
+    "TIMING_REPEATS",
     "WorkerCaches",
+    "available_cores",
     "build_worker_caches",
     "default_serial_depth",
     "multiproc_er",
     "scaling_run",
     "format_scaling_table",
+    "measure_serial_seconds",
     "preferred_start_method",
 ]
 
@@ -226,11 +234,11 @@ def _drain_worker_ring() -> Optional[_TraceBlob]:
 def _flush_trace() -> tuple[int, Optional[_TraceBlob]]:
     """Drain-on-exit flush task: ship whatever the ring still holds.
 
-    Submitted (several times, best effort) after the root combines, so
-    spans recorded after a worker's last task result — trailing cache
-    probes, tasks orphaned by the root cutoff — still reach the
-    coordinator.  Draining twice is harmless: the second drain is empty
-    and the counters are cumulative.
+    Written once to each worker's pipe after the root combines.  It
+    queues behind that worker's outstanding tasks, so spans recorded
+    after its last shipped result — trailing cache probes, tasks
+    orphaned by the root cutoff — reach the coordinator.  The counters
+    are cumulative, so a drain after an earlier one only adds.
     """
     return os.getpid(), _drain_worker_ring()
 
@@ -380,8 +388,9 @@ def build_worker_caches(
 class PersistentPool(Protocol):
     """A long-lived worker pool whose caches outlive individual searches.
 
-    :class:`repro.serve.pool.EnginePool` is the canonical
-    implementation: the pool owns the executor, the shared
+    :class:`LocalPool` is the minimal implementation and
+    :class:`repro.serve.pool.EnginePool` the service's: the pool owns the
+    :class:`~repro.parallel.workers.WorkerPool`, the shared
     :class:`~repro.cache.sharedmem.SharedMemoryTT`, and the shared eval
     cache, and its workers were initialized with :func:`_init_worker` —
     so :func:`multiproc_er` can run *on* it without rebuilding (or
@@ -393,7 +402,7 @@ class PersistentPool(Protocol):
     """
 
     @property
-    def executor(self) -> ProcessPoolExecutor: ...
+    def executor(self) -> WorkerPool: ...
 
     @property
     def shared_tt(self) -> Optional[SharedMemoryTT]: ...
@@ -406,6 +415,96 @@ class PersistentPool(Protocol):
 
     @property
     def trace_mode(self) -> str: ...
+
+
+class LocalPool:
+    """Worker processes plus the caches they were initialized with.
+
+    The one way this package starts workers: :func:`multiproc_er` builds
+    one per search when it is not handed a pool,
+    :func:`scaling_run` one per processor count, and
+    :class:`repro.serve.pool.EnginePool` one for its lifetime.
+    :meth:`close` stops the workers, then destroys the shared segments
+    and returns their counters; it is idempotent.
+    """
+
+    def __init__(
+        self,
+        n_workers: int,
+        *,
+        start_method: Optional[str] = None,
+        tt_mode: str = "off",
+        tt_capacity: int = 1 << 14,
+        eval_cache_mode: str = "off",
+        eval_cache_capacity: int = 1 << 14,
+        batch_eval: bool = False,
+        trace_mode: str = _live.TRACE_OFF,
+    ) -> None:
+        mp_ctx = multiprocessing.get_context(start_method or preferred_start_method())
+        # Locks come from the workers' own context so they survive the
+        # trip through the initializer under any start method.
+        self._caches: Optional[WorkerCaches] = build_worker_caches(
+            mp_ctx,
+            tt_mode=tt_mode,
+            tt_capacity=tt_capacity,
+            eval_cache_mode=eval_cache_mode,
+            eval_cache_capacity=eval_cache_capacity,
+            batch_eval=batch_eval,
+        )
+        try:
+            self._workers = WorkerPool(
+                n_workers,
+                mp_context=mp_ctx,
+                initializer=_init_worker,
+                initargs=(self._caches.tt_spec, self._caches.eval_spec, trace_mode),
+            )
+        except BaseException:
+            self._caches.teardown()
+            raise
+        self._trace_mode = trace_mode
+        self._final: Optional[dict[str, int]] = None
+
+    @property
+    def executor(self) -> WorkerPool:
+        return self._workers
+
+    @property
+    def shared_tt(self) -> Optional[SharedMemoryTT]:
+        return self._caches.shared_tt if self._caches is not None else None
+
+    @property
+    def shared_eval(self) -> Optional[SharedMemoryEvalCache]:
+        return self._caches.shared_eval if self._caches is not None else None
+
+    @property
+    def n_workers(self) -> int:
+        return self._workers.n_workers
+
+    @property
+    def trace_mode(self) -> str:
+        return self._trace_mode
+
+    def clear_caches(self) -> None:
+        """Zero the shared segments (private worker caches stay warm)."""
+        if self.shared_tt is not None:
+            self.shared_tt.clear()
+        if self.shared_eval is not None:
+            self.shared_eval.clear()
+
+    def close(self) -> dict[str, int]:
+        """Stop the workers, then destroy the segments; their counters."""
+        if self._final is None:
+            self._workers.shutdown()
+            assert self._caches is not None
+            self._final = self._caches.teardown()
+            self._caches = None
+        return dict(self._final)
+
+    def __enter__(self) -> "LocalPool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +623,6 @@ def multiproc_er(
     *,
     config: Optional[ERConfig] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    executor: Optional[ProcessPoolExecutor] = None,
     start_method: Optional[str] = None,
     timeout: float = 300.0,
     tt_mode: str = "off",
@@ -549,11 +647,8 @@ def multiproc_er(
         cost_model: charged to the merged stats so node accounting stays
             comparable with the serial and simulated backends; wall time
             is measured, not simulated.
-        executor: optional existing pool to reuse (it is not shut down);
-            must have at least ``n_workers`` workers for the loss
-            accounting to be meaningful.
-        start_method: multiprocessing start method; default prefers
-            ``fork``.
+        start_method: multiprocessing start method of an owned pool;
+            default prefers ``fork``.
         timeout: seconds to wait for any single in-flight task batch
             before declaring the run wedged.
         tt_mode: ``off`` (no caching), ``private`` (one plain table per
@@ -561,14 +656,13 @@ def multiproc_er(
             ``shared`` (one :class:`~repro.cache.sharedmem.SharedMemoryTT`
             segment every worker maps; the coordinator also probes it
             before submitting an eval task, skipping the task on a
-            usable hit).  Modes other than ``off`` require an owned pool.
+            usable hit).
         tt_capacity: slot/entry budget for the table(s).
         eval_cache_mode: ``off``, ``private`` (one single-stripe cache
             per worker process), or ``shared`` (one
             :class:`~repro.eval.SharedMemoryEvalCache` segment every
             worker maps; the coordinator also probes/stores it for its
-            own leaves).  Modes other than ``off`` require an owned
-            pool, like ``tt_mode``.
+            own leaves).
         eval_cache_capacity: entry budget for the eval cache(s).
         batch_eval: batch frontier evaluations inside worker subtree
             searches and coordinator move ordering even without a cache.
@@ -577,18 +671,21 @@ def multiproc_er(
             :data:`~repro.obs.live.SAMPLED_STRIDE` on the hot paths), or
             ``full``.  Non-``off`` modes install a bounded span ring per
             worker process (plus one in the coordinator), ship spans back
-            on the result channel with a drain-on-exit flush, calibrate
-            each worker's clock offset from task round-trips, and attach
-            the merged timeline as ``result.trace``.  Requires an owned
-            pool, like the cache modes.
-        pool: a :class:`PersistentPool` (e.g.
-            :class:`repro.serve.pool.EnginePool`) whose executor and
-            warm shared caches this search runs on.  The pool's cache
-            configuration *replaces* ``tt_mode``/``eval_cache_mode``
-            (its workers were already initialized), its shared segments
-            are left alive for the next search, and ``trace`` must
-            match the pool's trace mode.  Mutually exclusive with
-            ``executor``.
+            on the result channel, flush each worker of an owned pool
+            once at the end, calibrate each worker's clock offset from
+            task round-trips, and attach the merged timeline as
+            ``result.trace``.
+        pool: a :class:`PersistentPool` (:class:`LocalPool` or
+            :class:`repro.serve.pool.EnginePool`) whose workers and warm
+            shared caches this search borrows; without one the search
+            owns a :class:`LocalPool` for its duration.  A borrowed
+            pool's cache configuration *replaces*
+            ``tt_mode``/``eval_cache_mode``/``batch_eval`` in the
+            workers (they were already initialized), its shared
+            segments are left alive for the next search, and ``trace``
+            must match the pool's trace mode.  It should have at least
+            ``n_workers`` workers for the loss accounting to be
+            meaningful.
 
     Raises:
         SimulationError: on a worker crash, a wedged pool, or a protocol
@@ -612,21 +709,11 @@ def multiproc_er(
             f"unknown trace mode {trace!r}; expected one of {_live.TRACE_MODES}"
         )
     traced = trace != _live.TRACE_OFF
-    if pool is not None and executor is not None:
-        raise SearchError("pass either a persistent pool or a raw executor, not both")
     if pool is not None and trace != pool.trace_mode:
         raise SearchError(
             f"trace mode {trace!r} does not match the persistent pool's "
             f"{pool.trace_mode!r}: worker span rings are installed by the "
             "pool initializer and cannot change per search"
-        )
-    if (
-        tt_mode != "off" or eval_cache_mode != "off" or batch_eval or traced
-    ) and executor is not None:
-        raise SearchError(
-            "tt/eval-cache modes other than 'off' (and batch_eval, trace) "
-            "need an owned pool: the worker initializer is what attaches "
-            "each process's caches and span ring"
         )
 
     ctx = _Context(
@@ -636,45 +723,28 @@ def multiproc_er(
     coord_stats = SearchStats()
     merged_workers = SearchStats()
 
-    shared_tt: Optional[SharedMemoryTT] = None
-    shared_eval: Optional[SharedMemoryEvalCache] = None
-    caches: Optional[WorkerCaches] = None
-    tail_counters: dict[str, int] = {}
-    if pool is not None:
-        # Persistent server-owned pool: run on its warm caches; leave
-        # segments (and their cumulative counters) alive for the next
-        # search.
-        own_pool = False
-        executor_pool = pool.executor
-        shared_tt = pool.shared_tt
-        shared_eval = pool.shared_eval
-    elif executor is None:
-        own_pool = True
-        method = start_method or preferred_start_method()
-        mp_ctx = multiprocessing.get_context(method)
-        # Locks come from the pool's own context so they survive the
-        # trip through the initializer under any start method.
-        caches = build_worker_caches(
-            mp_ctx,
+    # A borrowed pool keeps its warm segments (and their cumulative
+    # counters) alive for the next search; an owned one goes at the end.
+    owned: Optional[LocalPool] = None
+    if pool is None:
+        owned = pool = LocalPool(
+            n_workers,
+            start_method=start_method,
             tt_mode=tt_mode,
             tt_capacity=tt_capacity,
             eval_cache_mode=eval_cache_mode,
             eval_cache_capacity=eval_cache_capacity,
             batch_eval=batch_eval,
+            trace_mode=trace,
         )
-        shared_tt = caches.shared_tt
-        shared_eval = caches.shared_eval
-        executor_pool = ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=mp_ctx,
-            initializer=_init_worker,
-            initargs=(caches.tt_spec, caches.eval_spec, trace),
-        )
-    else:
-        own_pool = False
-        executor_pool = executor
+    workers = pool.executor
+    shared_tt = pool.shared_tt
+    shared_eval = pool.shared_eval
+    tail_counters: dict[str, int] = {}
 
-    pending: dict[Future[_TaskOutcome], _Pending] = {}
+    pending: dict[TaskFuture[_TaskOutcome], _Pending] = {}
+    #: Futures of this search settled since the last drain, in settle order.
+    arrived: list[TaskFuture[_TaskOutcome]] = []
     counters = {
         "tasks_submitted": 0,
         "tasks_applied": 0,
@@ -784,7 +854,10 @@ def multiproc_er(
                 finish(node)
                 return
             payload = ("eval", subproblem(problem, node.position, node.ply), alpha, beta)
-        future = executor_pool.submit(_run_task, payload)
+        future = workers.submit(_run_task, payload)
+        if future.done():
+            raise SimulationError(f"task did not reach a worker: {future.exception()!r}")
+        future.add_done_callback(arrived.append)
         counters["tasks_submitted"] += 1
         pending[future] = _Pending(node, payload[0], time.perf_counter())
         idle.record(time.perf_counter(), +1)
@@ -915,15 +988,20 @@ def multiproc_er(
             # wait as a span so the merged timeline shows *why* workers
             # were the bottleneck at that instant.
             token = coord_ring.begin() if coord_ring is not None else -1.0
-            done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
+            progressed = True
+            while not arrived and progressed:
+                # Results of an earlier search's orphans settle here too.
+                progressed = bool(workers.wait(timeout))
             if coord_ring is not None:
                 coord_ring.end("heap", "wait", token)
-            if not done:
+            if not progressed:
                 raise SimulationError(
                     f"multiproc ER wedged: no task completed in {timeout:.0f}s"
                 )
         else:
-            done = {future for future in pending if future.done()}
+            workers.poll()
+        done = arrived.copy()
+        arrived.clear()
         for future in done:
             record = pending.pop(future)
             error = future.exception()
@@ -953,29 +1031,25 @@ def multiproc_er(
         counters["tasks_orphaned"] = len(pending)
         for future in pending:
             future.cancel()
-        if traced and own_pool:
-            # Drain-on-exit flush: spans recorded after each worker's
-            # last shipped result (orphaned tasks, trailing cache
-            # probes) would otherwise be lost.  Over-submit so every
-            # pool process likely runs at least one; duplicates drain
-            # empty.  Best effort — a dead worker just keeps its tail.
-            flushes = [executor_pool.submit(_flush_trace) for _ in range(2 * n_workers)]
+        if traced and owned is not None:
+            # Drain-on-exit flush, one per worker pipe, queued behind
+            # that worker's orphaned tasks: spans recorded after its last
+            # shipped result would otherwise be lost with the process.
+            flushes = [
+                workers.submit_to(index, _flush_trace) for index in range(workers.n_workers)
+            ]
             for flush_future in flushes:
-                try:
-                    flush_pid, flush_blob = flush_future.result(timeout=timeout)
-                except Exception:  # noqa: BLE001 - flush is best-effort
-                    continue
+                flush_pid, flush_blob = flush_future.result(timeout=timeout)
                 merge_blob(worker_index(flush_pid), flush_blob)
+    except WorkerPoolError as error:
+        raise SimulationError(f"worker process failed: {error}") from error
     finally:
         _live.RING = prev_ring
-        if own_pool:
-            executor_pool.shutdown(wait=True, cancel_futures=True)
-        if caches is not None:
-            # Workers have exited (shutdown waited); the coordinator both
-            # closes its mappings and destroys the segments.  Persistent
-            # pools skip this — their segments stay warm for the next
-            # search and are torn down by the pool's own close().
-            tail_counters = caches.teardown()
+        if owned is not None:
+            # Workers exit first; then the coordinator both closes its
+            # mappings and destroys the segments.  A borrowed pool's
+            # segments stay warm for the next search.
+            tail_counters = owned.close()
 
     if not ctx.done:
         raise SimulationError("multiproc ER finished without combining the root")
@@ -1029,19 +1103,48 @@ def multiproc_er(
 # ---------------------------------------------------------------------------
 
 
+#: Timed repeats per measurement; each scaling figure is the best of this
+#: many runs after one untimed warm-up, serial and parallel alike.
+TIMING_REPEATS = 3
+
+
+def available_cores() -> int:
+    """Cores this process may run on (its affinity mask where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ScalingPoint:
-    """One processor count of a wall-clock scaling run."""
+    """One processor count of a wall-clock scaling run.
+
+    ``wall_time`` is the best of :data:`TIMING_REPEATS` warm runs;
+    ``result`` is that run.  ``cores`` is the affinity count it ran on,
+    and the busy processes are the ``n_workers`` workers plus the
+    coordinator.
+    """
 
     n_workers: int
     wall_time: float
     speedup: float
     efficiency: float
     result: MultiprocResult
+    cores: int = 1
+
+    @property
+    def busy_processes(self) -> int:
+        return self.n_workers + 1
+
+    @property
+    def oversubscribed(self) -> bool:
+        return self.busy_processes > self.cores
 
 
-def measure_serial_seconds(problem: SearchProblem, *, repeats: int = 2) -> float:
-    """Best-of-``repeats`` wall-clock seconds of serial ER on ``problem``."""
+def measure_serial_seconds(problem: SearchProblem, *, repeats: int = TIMING_REPEATS) -> float:
+    """Best-of-``repeats`` wall-clock seconds of serial ER, after one warm-up."""
+    er_search(problem)
     best = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
@@ -1062,22 +1165,41 @@ def scaling_run(
     batch_eval: bool = False,
     trace: str = _live.TRACE_OFF,
 ) -> tuple[float, list[ScalingPoint]]:
-    """Serial baseline plus one multiproc run per worker count."""
+    """Serial baseline plus one multiproc figure per worker count.
+
+    Each count gets one :class:`LocalPool`, warmed by one untimed search,
+    then timed best-of-:data:`TIMING_REPEATS` like
+    :func:`measure_serial_seconds`, so neither side pays process start-up
+    or cold imports.  Shared segments are cleared before every search;
+    ``private`` worker caches cannot be and stay warm across repeats.
+    """
     if serial_seconds is None:
         serial_seconds = measure_serial_seconds(problem)
+    cores = available_cores()
     points: list[ScalingPoint] = []
     for count in counts:
-        result = multiproc_er(
-            problem, count, config=config, start_method=start_method, tt_mode=tt_mode,
-            eval_cache_mode=eval_cache_mode, batch_eval=batch_eval, trace=trace,
-        )
+        with LocalPool(
+            count, start_method=start_method, tt_mode=tt_mode,
+            eval_cache_mode=eval_cache_mode, batch_eval=batch_eval, trace_mode=trace,
+        ) as pool:
+            runs: list[MultiprocResult] = []
+            for _ in range(TIMING_REPEATS + 1):
+                pool.clear_caches()
+                runs.append(
+                    multiproc_er(
+                        problem, count, config=config, batch_eval=batch_eval, trace=trace,
+                        pool=pool,
+                    )
+                )
+        best = min(runs[1:], key=lambda run: run.wall_time)
         points.append(
             ScalingPoint(
                 n_workers=count,
-                wall_time=result.wall_time,
-                speedup=result.speedup(serial_seconds),
-                efficiency=result.efficiency(serial_seconds),
-                result=result,
+                wall_time=best.wall_time,
+                speedup=best.speedup(serial_seconds),
+                efficiency=best.efficiency(serial_seconds),
+                result=best,
+                cores=cores,
             )
         )
     return serial_seconds, points
@@ -1086,7 +1208,12 @@ def scaling_run(
 def format_scaling_table(
     tree_name: str, serial_seconds: float, points: Sequence[ScalingPoint]
 ) -> str:
-    """Render a scaling run in the fig10-13 results-file format."""
+    """Render a scaling run in the fig10-13 results-file format.
+
+    One line per point records how it was measured: the cores, the busy
+    processes (workers plus coordinator), whether they oversubscribe the
+    cores, and the best-of count.
+    """
     header = "tree  serial-ER-s  " + "".join(
         f"P={p.n_workers:<6d}" for p in points
     )
@@ -1105,4 +1232,10 @@ def format_scaling_table(
         f"speculative={p.result.speculative_fraction:.3f}"
         for p in points
     )
-    return "\n".join((header, row, summary, losses))
+    machine = "\n".join(
+        f"{tree_name} P={p.n_workers}: cores={p.cores} busy_processes={p.busy_processes} "
+        f"oversubscribed={'yes' if p.oversubscribed else 'no'} "
+        f"timing=best-of-{TIMING_REPEATS} after 1 warm-up"
+        for p in points
+    )
+    return "\n".join((header, row, summary, losses, machine))

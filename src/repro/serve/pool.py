@@ -5,14 +5,17 @@ every :func:`~repro.parallel.multiproc.multiproc_er` call spawned a
 pool, built a fresh :class:`~repro.cache.sharedmem.SharedMemoryTT`, and
 tore both down at the end — none of one search's work survived to the
 next.  :class:`EnginePool` inverts that ownership: the *server* owns
-one long-lived :class:`~concurrent.futures.ProcessPoolExecutor` whose
-workers were initialized once with
-:func:`repro.parallel.multiproc._init_worker`, one shared TT, and one
-shared eval cache, all spanning every request from every user until the
-pool is closed.  It satisfies the
+one long-lived :class:`~repro.parallel.multiproc.LocalPool` — a
+:class:`~repro.parallel.workers.WorkerPool` whose workers were
+initialized once with :func:`repro.parallel.multiproc._init_worker`,
+one shared TT, and one shared eval cache — spanning every request from
+every user until the pool is closed.  It satisfies the
 :class:`~repro.parallel.multiproc.PersistentPool` protocol, so whole ER
 searches (``multiproc_er(pool=...)``) and the service's per-iteration
-fan-out (:class:`PoolEngine`) run on the same warm substrate.
+fan-out (:class:`PoolEngine`) run on the same warm substrate.  On the
+event loop, results arrive through readers on the worker pipes; a
+worker that dies fails its tasks and breaks the pool, and every later
+submit raises :class:`~repro.errors.ServeError` (there is no respawn).
 
 :class:`PoolEngine` is the service's
 :class:`~repro.serve.scheduler.DeepeningEngine`: one deepening
@@ -29,10 +32,8 @@ about.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,15 +43,8 @@ from ..eval.cache import SharedMemoryEvalCache
 from ..games.base import Game, Position, RootedGame, SearchProblem, hash_key
 from ..obs import live as _live
 from ..obs import reqtrace as _reqtrace
-from ..parallel.multiproc import (
-    WorkerCaches,
-    _init_worker,
-    _run_task,
-    _TaskOutcome,
-    _unpack_stats,
-    build_worker_caches,
-    preferred_start_method,
-)
+from ..parallel.multiproc import LocalPool, _run_task, _TaskOutcome, _unpack_stats
+from ..parallel.workers import TaskFuture, WorkerPool
 from ..search.stats import SearchStats
 from ..search.transposition import Bound
 from .api import SearchRequest
@@ -100,7 +94,7 @@ class EnginePool:
     :class:`~repro.parallel.multiproc.MultiprocResult.per_worker`),
     merged :class:`~repro.search.stats.SearchStats` over every task
     result, and task/short-circuit counters.  :meth:`close` is
-    idempotent and tears down the executor and both shared segments;
+    idempotent and tears down the workers and both shared segments;
     the soak battery asserts nothing leaks past it.
     """
 
@@ -123,25 +117,19 @@ class EnginePool:
             raise ServeError(
                 f"unknown trace mode {trace_mode!r}; expected one of {_live.TRACE_MODES}"
             )
-        self._n_workers = n_workers
-        self._trace_mode = trace_mode
-        self._mp_ctx = multiprocessing.get_context(
-            start_method or preferred_start_method()
-        )
-        self._caches: Optional[WorkerCaches] = build_worker_caches(
-            self._mp_ctx,
+        self._local = LocalPool(
+            n_workers,
+            start_method=start_method,
             tt_mode=tt_mode,
             tt_capacity=tt_capacity,
             eval_cache_mode=eval_cache_mode,
             eval_cache_capacity=eval_cache_capacity,
             batch_eval=batch_eval,
+            trace_mode=trace_mode,
         )
-        self._executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=self._mp_ctx,
-            initializer=_init_worker,
-            initargs=(self._caches.tt_spec, self._caches.eval_spec, trace_mode),
-        )
+        #: The event loop whose readers watch the worker pipes, and their fds.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._watched: set[int] = set()
         self.stats = SearchStats()
         #: Stable worker index -> {"pid", "applied"} busy seconds; the
         #: service has no moot results, so there is no "wasted" split.
@@ -168,30 +156,39 @@ class EnginePool:
     # -- PersistentPool protocol -------------------------------------------
 
     @property
-    def executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
+    def executor(self) -> WorkerPool:
+        """The workers; raises :class:`ServeError` once closed or broken."""
+        if self._closed:
             raise ServeError("engine pool is closed")
-        return self._executor
+        workers = self._local.executor
+        if workers.broken is not None:
+            raise ServeError(f"engine pool is broken: {workers.broken}")
+        return workers
 
     @property
     def shared_tt(self) -> Optional[SharedMemoryTT]:
-        return self._caches.shared_tt if self._caches is not None else None
+        return self._local.shared_tt
 
     @property
     def shared_eval(self) -> Optional[SharedMemoryEvalCache]:
-        return self._caches.shared_eval if self._caches is not None else None
+        return self._local.shared_eval
 
     @property
     def n_workers(self) -> int:
-        return self._n_workers
+        return self._local.n_workers
 
     @property
     def trace_mode(self) -> str:
-        return self._trace_mode
+        return self._local.trace_mode
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def broken(self) -> bool:
+        """Whether a worker died; a broken pool takes no more work."""
+        return self._local.executor.broken is not None
 
     # -- task submission ----------------------------------------------------
 
@@ -202,7 +199,7 @@ class EnginePool:
         beta: float = POS_INF,
         *,
         tag: Optional[str] = None,
-    ) -> "Future[_TaskOutcome]":
+    ) -> TaskFuture[_TaskOutcome]:
         """Ship one full subtree search to a warm worker process.
 
         ``tag`` (``request_id/span_id``, see
@@ -216,6 +213,59 @@ class EnginePool:
         future = self.executor.submit(_run_task, payload)
         self.counters["tasks_submitted"] += 1
         return future
+
+    def outcome(self, future: TaskFuture[_TaskOutcome]) -> "asyncio.Future[_TaskOutcome]":
+        """``future`` as an awaitable on the running event loop.
+
+        The loop's readers on the worker pipes (installed on first use
+        per loop) pump the pool, so the result arrives without a thread.
+        A task that failed, including one a dead worker took with it,
+        surfaces as :class:`ServeError`.
+        """
+        loop = asyncio.get_running_loop()
+        if self._loop is not loop:
+            self._watch(loop)
+        waiter: "asyncio.Future[_TaskOutcome]" = loop.create_future()
+
+        def settle(done: TaskFuture[_TaskOutcome]) -> None:
+            if waiter.done():
+                return
+            error = None if done.cancelled() else done.exception()
+            if done.cancelled() or error is not None:
+                failure = ServeError(f"pool task failed: {error!r}")
+                failure.__cause__ = error
+                waiter.set_exception(failure)
+            else:
+                waiter.set_result(done.result())
+
+        future.add_done_callback(settle)
+        return waiter
+
+    def _watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Point readers on ``loop`` at every live worker pipe and sentinel."""
+        if self._loop is not loop:
+            self._unwatch()
+            self._loop = loop
+        live = set(self._local.executor.fds())
+        for fd in self._watched - live:
+            loop.remove_reader(fd)
+        for fd in live - self._watched:
+            loop.add_reader(fd, self._on_ready)
+        self._watched = live
+
+    def _unwatch(self) -> None:
+        if self._loop is not None and not self._loop.is_closed():
+            for fd in self._watched:
+                self._loop.remove_reader(fd)
+        self._loop = None
+        self._watched = set()
+
+    def _on_ready(self) -> None:
+        workers = self._local.executor
+        workers.poll()
+        if workers.broken is not None and self._loop is not None:
+            # Drop the dead worker's descriptors: at EOF they stay readable.
+            self._watch(self._loop)
 
     def note_outcome(
         self, outcome: _TaskOutcome, *, submitted_at: Optional[float] = None
@@ -317,12 +367,7 @@ class EnginePool:
         warmth contributes versus pool persistence, without paying (or
         measuring) worker start-up.
         """
-        tt = self.shared_tt
-        if tt is not None:
-            tt.clear()
-        cache = self.shared_eval
-        if cache is not None:
-            cache.clear()
+        self._local.clear_caches()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -335,13 +380,9 @@ class EnginePool:
         if self._closed:
             return dict(self._final_counters)
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        self._unwatch()
         final = dict(self.counters)
-        if self._caches is not None:
-            final.update(self._caches.teardown())
-            self._caches = None
+        final.update(self._local.close())
         self._final_counters = final
         return dict(final)
 
@@ -397,7 +438,6 @@ class PoolEngine:
             request.request_id, request.span_id or "root"
         ).child(f"d{depth}")
         tag = None if self._pool.trace_mode == _live.TRACE_OFF else context.tag
-        loop = asyncio.get_running_loop()
         pending: list[tuple[int, float, "asyncio.Future[_TaskOutcome]"]] = []
         values: list[Optional[float]] = [None] * len(resolved.children)
         for index, child in enumerate(resolved.children):
@@ -412,9 +452,12 @@ class PoolEngine:
             )
             submitted_at = _live.wall_clock()
             future = self._pool.submit_eval(problem, tag=tag)
-            pending.append((index, submitted_at, asyncio.wrap_future(future, loop=loop)))
-        for index, submitted_at, wrapped in pending:
-            outcome = await wrapped
+            pending.append((index, submitted_at, self._pool.outcome(future)))
+        # Every waiter is awaited, failed or not, so none is left unretrieved.
+        outcomes = await asyncio.gather(*(w for _, _, w in pending), return_exceptions=True)
+        for (index, submitted_at, _), outcome in zip(pending, outcomes, strict=True):
+            if isinstance(outcome, BaseException):
+                raise outcome
             values[index] = -self._pool.note_outcome(outcome, submitted_at=submitted_at)
         iteration = [v for v in values if v is not None]
         assert len(iteration) == len(values), "every child resolved to a value"

@@ -23,11 +23,13 @@ Seven rules, each an invariant the rest of the codebase argues from:
   ``cache/``: identical
   runs must produce identical reports, which the determinism tests and
   the race-detector clean-trace gates both rely on.
-* **VER004 — picklable multiproc boundary.**  Every task submitted to
-  an executor in ``parallel/multiproc.py`` must be a module-level
-  function referenced by name, never a closure, lambda, or bound
-  method — the spawn start method would fail at runtime, and only on
-  platforms that spawn.
+* **VER004 — picklable process boundary.**  Every task submitted to a
+  worker pool (``submit``/``submit_to``/``apply_async``/``map``) in the
+  files that cross it — ``parallel/multiproc.py``,
+  ``parallel/workers.py`` and ``serve/pool.py`` — must be a module-level
+  function referenced by name (defined or imported at module level),
+  never a closure, lambda, or bound method — the spawn start method
+  would fail at runtime, and only on platforms that spawn.
 * **VER005 — telemetry coverage.**  Every ``Op`` subclass in
   ``sim/ops.py`` must have an entry in ``repro.obs.registry.OP_METRICS``
   and every ``EV_*`` event type in ``repro.obs.events`` an entry in
@@ -960,22 +962,35 @@ def check_parallel_event_coverage(
     return findings
 
 
+#: Files whose tasks cross a process boundary, relative to ``src/repro``.
+PICKLE_BOUNDARY_FILES = ("parallel/multiproc.py", "parallel/workers.py", "serve/pool.py")
+
+#: Pool methods that ship a task, and the position of the task argument.
+_SUBMIT_METHODS = {"submit": 0, "apply_async": 0, "map": 0, "submit_to": 1}
+
+
 def check_pickle_boundary(path: str, source: str) -> list[LintFinding]:
-    """VER004: executor submissions must be module-level functions."""
+    """VER004: pool submissions must be module-level functions."""
     findings: list[LintFinding] = []
     tree = ast.parse(source, filename=path)
+    # Functions defined or imported at module level pickle by reference.
     module_funcs = {
         node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+    } | {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
     }
     for node in ast.walk(tree):
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("submit", "apply_async", "map")
-            and node.args
+            and node.func.attr in _SUBMIT_METHODS
+            and len(node.args) > _SUBMIT_METHODS[node.func.attr]
         ):
             continue
-        task = node.args[0]
+        task = node.args[_SUBMIT_METHODS[node.func.attr]]
         if isinstance(task, ast.Name) and task.id in module_funcs:
             continue
         findings.append(
@@ -983,7 +998,7 @@ def check_pickle_boundary(path: str, source: str) -> list[LintFinding]:
                 "VER004",
                 path,
                 node.lineno,
-                f"task {ast.unparse(task)!r} submitted to an executor is not a "
+                f"task {ast.unparse(task)!r} submitted to a worker pool is not a "
                 "module-level function; it cannot pickle under spawn",
             )
         )
@@ -1014,7 +1029,7 @@ def check_file(
         rules = {"VER003"}
         if name == "er_parallel.py":
             rules.add("VER001")
-        if "multiproc" in name:
+        if "multiproc" in name or name in ("workers.py", "pool.py"):
             rules.add("VER004")
             rules.discard("VER003")  # the coordinator measures wall time
     findings: list[LintFinding] = []
@@ -1060,9 +1075,10 @@ def check_repo(root: Optional[str] = None) -> list[LintFinding]:
         for path in sorted(directory.glob("*.py")):
             findings.extend(check_file(str(path), rules={"VER008"}))
 
-    multiproc = src / "parallel" / "multiproc.py"
-    if multiproc.exists():
-        findings.extend(check_file(str(multiproc), rules={"VER004"}))
+    for relative in PICKLE_BOUNDARY_FILES:
+        boundary = src / relative
+        if boundary.exists():
+            findings.extend(check_file(str(boundary), rules={"VER004"}))
 
     events_py = src / "obs" / "events.py"
     registry_py = src / "obs" / "registry.py"

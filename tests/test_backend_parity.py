@@ -11,9 +11,6 @@ a value mismatch tagged with the exact combination that produced it.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 from repro.core.er_parallel import ERConfig, parallel_er
@@ -30,7 +27,7 @@ from repro.games.random_tree import (
     SyntheticOrderedTree,
 )
 from repro.games.tictactoe import TicTacToe
-from repro.parallel.multiproc import multiproc_er, preferred_start_method
+from repro.parallel.multiproc import LocalPool, multiproc_er
 from repro.parallel.threaded import threaded_er
 from repro.search.alphabeta import alphabeta
 
@@ -119,10 +116,8 @@ assert len(CASES) >= 50, f"parity grid shrank to {len(CASES)} combos"
 
 @pytest.fixture(scope="module")
 def pool():
-    context = multiprocessing.get_context(preferred_start_method())
-    executor = ProcessPoolExecutor(max_workers=3, mp_context=context)
-    yield executor
-    executor.shutdown(wait=True, cancel_futures=True)
+    with LocalPool(3) as local:
+        yield local
 
 
 @pytest.mark.parametrize("make_problem", CASES)
@@ -143,7 +138,7 @@ def test_all_backends_agree(make_problem, pool):
     assert threaded_value == oracle, (
         f"threaded ER diverged (P={n}, {config.serial_depth=})"
     )
-    mp_result = multiproc_er(problem, n, config=config, executor=pool)
+    mp_result = multiproc_er(problem, n, config=config, pool=pool)
     assert mp_result.value == oracle, (
         f"multiproc ER diverged (P={n}, {config.serial_depth=})"
     )

@@ -18,7 +18,7 @@ from repro.eval import EVAL_CACHE_MODES, Evaluator, make_eval_cache
 from repro.games.base import SearchProblem
 from repro.games.connect4 import ConnectFour
 from repro.games.random_tree import IncrementalGameTree, RandomGameTree, SyntheticOrderedTree
-from repro.parallel.multiproc import multiproc_er
+from repro.parallel.multiproc import LocalPool, multiproc_er
 from repro.parallel.threaded import threaded_er
 from repro.search.alphabeta import alphabeta
 
@@ -139,14 +139,23 @@ class TestMultiprocEquivalence:
         if mode != "off":
             assert result.stats.eval_probes > 0
 
-    def test_eval_modes_reject_foreign_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
+    def test_borrowed_pool_eval_cache_mode_wins(self):
+        """A borrowed pool's eval cache, not ``eval_cache_mode``, is used."""
+        problem = SearchProblem(RandomGameTree(3, 4, seed=1), depth=4)
+        truth = oracle(problem)
+        with LocalPool(1, eval_cache_mode="off") as pool:
+            result = multiproc_er(problem, 1, pool=pool, eval_cache_mode="shared")
+        assert result.value == truth
+        assert result.stats.eval_probes == 0
+        with LocalPool(1, eval_cache_mode="shared") as pool:
+            result = multiproc_er(problem, 1, pool=pool, eval_cache_mode="off")
+        assert result.value == truth
+        assert result.stats.eval_probes > 0
 
+    def test_borrowed_pool_trace_mismatch_raises(self):
         from repro.errors import SearchError
 
         problem = SearchProblem(RandomGameTree(3, 4, seed=1), depth=4)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(SearchError):
-                multiproc_er(problem, 1, executor=pool, eval_cache_mode="shared")
-            with pytest.raises(SearchError):
-                multiproc_er(problem, 1, executor=pool, batch_eval=True)
+        with LocalPool(1, eval_cache_mode="shared", trace_mode="full") as pool:
+            with pytest.raises(SearchError, match="trace mode"):
+                multiproc_er(problem, 1, pool=pool)

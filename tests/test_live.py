@@ -479,6 +479,22 @@ class TestTracedBackends:
         for index, split in result.per_worker.items():
             assert trace.pids[index] == int(split["pid"])
 
+    def test_multiproc_owned_pool_flushes_every_worker(self) -> None:
+        """One flush per worker pipe: every worker's ring reaches the trace."""
+        n_workers = 3
+        result = multiproc_er(
+            _problem(), n_workers, config=ERConfig(serial_depth=2), trace=live.TRACE_FULL
+        )
+        trace = result.trace
+        assert trace is not None
+        assert set(trace.pids) == {live.COORDINATOR, *range(n_workers)}
+        task_spans = [span for span in trace.spans if span.cat == "task"]
+        assert {span.worker for span in task_spans} == set(result.per_worker)
+        extras = result.extras
+        # Every task a worker ran is in the trace, orphans included.
+        received = extras["tasks_applied"] + extras["tasks_discarded"]
+        assert received <= len(task_spans) <= extras["tasks_submitted"]
+
     def test_multiproc_untraced_has_no_trace(self) -> None:
         result = multiproc_er(_problem(), 2, config=ERConfig(serial_depth=2))
         assert result.trace is None

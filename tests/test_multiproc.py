@@ -1,8 +1,5 @@
 """Tests for the multiprocess ER backend (correctness and accounting)."""
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 from repro.core.er_parallel import ERConfig
@@ -15,11 +12,11 @@ from repro.games.explicit import FIGURE6, FIGURE7, ExplicitTree
 from repro.games.othello.game import O1_ROOT, Othello
 from repro.games.tictactoe import TicTacToe
 from repro.parallel.multiproc import (
+    LocalPool,
     MultiprocResult,
     default_serial_depth,
     format_scaling_table,
     multiproc_er,
-    preferred_start_method,
     scaling_run,
 )
 from repro.search.negamax import negamax
@@ -31,10 +28,8 @@ from conftest import random_problem
 @pytest.fixture(scope="module")
 def pool():
     """One shared worker pool so each test does not pay process startup."""
-    context = multiprocessing.get_context(preferred_start_method())
-    executor = ProcessPoolExecutor(max_workers=3, mp_context=context)
-    yield executor
-    executor.shutdown(wait=True, cancel_futures=True)
+    with LocalPool(3) as local:
+        yield local
 
 
 class TestCorrectness:
@@ -44,7 +39,7 @@ class TestCorrectness:
             problem = random_problem(3, 4, seed)
             truth = negamax(problem).value
             result = multiproc_er(
-                problem, n_workers, config=ERConfig(serial_depth=2), executor=pool
+                problem, n_workers, config=ERConfig(serial_depth=2), pool=pool
             )
             assert result.value == truth
             assert result.stats.nodes_generated > 0
@@ -52,7 +47,7 @@ class TestCorrectness:
     def test_default_config_offloads_subtrees(self, pool):
         problem = random_problem(3, 5, seed=1)
         truth = negamax(problem).value
-        result = multiproc_er(problem, 2, executor=pool)
+        result = multiproc_er(problem, 2, pool=pool)
         assert result.value == truth
         assert result.extras["tasks_submitted"] > 0
 
@@ -60,7 +55,7 @@ class TestCorrectness:
         """The root itself is a serial task: one worker does everything."""
         problem = random_problem(2, 4, seed=3)
         result = multiproc_er(
-            problem, 2, config=ERConfig(serial_depth=0), executor=pool
+            problem, 2, config=ERConfig(serial_depth=0), pool=pool
         )
         assert result.value == negamax(problem).value
         assert result.extras["tasks_submitted"] == 1
@@ -70,7 +65,7 @@ class TestCorrectness:
         by the coordinator; the pool is never used but values still agree."""
         problem = random_problem(2, 3, seed=0)
         result = multiproc_er(
-            problem, 2, config=ERConfig(serial_depth=1_000_000), executor=pool
+            problem, 2, config=ERConfig(serial_depth=1_000_000), pool=pool
         )
         assert result.value == negamax(problem).value
         assert result.extras["tasks_submitted"] == 0
@@ -85,7 +80,7 @@ class TestCorrectness:
                 problem,
                 2,
                 config=ERConfig(serial_depth=2, max_e_children=2),
-                executor=pool,
+                pool=pool,
             )
             assert result.value == truth
             exercised += result.extras["refutation_conversions"]
@@ -96,7 +91,7 @@ class TestCorrectness:
             game = ExplicitTree(spec)
             problem = SearchProblem(game, depth=game.height)
             result = multiproc_er(
-                problem, 2, config=ERConfig(serial_depth=1), executor=pool
+                problem, 2, config=ERConfig(serial_depth=1), pool=pool
             )
             assert result.value == expected
 
@@ -108,7 +103,7 @@ class TestCorrectness:
         ):
             truth = negamax(problem).value
             result = multiproc_er(
-                problem, 2, config=ERConfig(serial_depth=2), executor=pool
+                problem, 2, config=ERConfig(serial_depth=2), pool=pool
             )
             assert result.value == truth
 
@@ -121,7 +116,7 @@ class TestCorrectness:
             problem,
             2,
             config=ERConfig(serial_depth=2, max_e_children=1),
-            executor=pool,
+            pool=pool,
         )
         assert result.value == serial.value
         assert result.stats.leaf_evals >= serial.stats.leaf_evals * 0.5
@@ -131,7 +126,7 @@ class TestAccounting:
     def test_loss_fractions_partition_processor_time(self, pool):
         problem = random_problem(3, 5, seed=2)
         result = multiproc_er(
-            problem, 2, config=ERConfig(serial_depth=2), executor=pool
+            problem, 2, config=ERConfig(serial_depth=2), pool=pool
         )
         assert result.wall_time > 0
         for fraction in (
@@ -152,7 +147,7 @@ class TestAccounting:
     def test_task_counters_close(self, pool):
         problem = random_problem(3, 4, seed=5)
         result = multiproc_er(
-            problem, 2, config=ERConfig(serial_depth=2), executor=pool
+            problem, 2, config=ERConfig(serial_depth=2), pool=pool
         )
         extras = result.extras
         assert extras["tasks_submitted"] == (
@@ -183,6 +178,10 @@ class TestScalingHelpers:
         table = format_scaling_table("T1", serial_seconds, points)
         assert "T1" in table and "P=1" in table and "speedup" in table
         assert "starvation=" in table and "speculative=" in table
+        # Each point says how it was measured and whether it oversubscribed.
+        assert [p.busy_processes for p in points] == [2, 3]
+        assert f"cores={points[0].cores}" in table and "busy_processes=3" in table
+        assert "oversubscribed=" in table and "best-of-3" in table
 
     def test_default_serial_depth_bounds(self):
         assert default_serial_depth(9) == 6
@@ -213,7 +212,7 @@ class TestValidation:
             problem,
             2,
             config=ERConfig(serial_depth=2, distributed_heap=True),
-            executor=pool,
+            pool=pool,
         )
         assert result.value == negamax(problem).value
         assert result.extras["steals"] == 0

@@ -246,11 +246,11 @@ class TestPersistentPoolPlumbing:
             with pytest.raises(SearchError, match="multiproc-er"):
                 EngineConfig(algorithm="er", pool=pool)
 
-    def test_multiproc_er_rejects_pool_executor_conflict(self) -> None:
+    def test_multiproc_er_rejects_pool_trace_mismatch(self) -> None:
         problem = SearchProblem(RandomGameTree(2, 3, seed=0), depth=3)
         with EnginePool(1) as pool:
-            with pytest.raises(SearchError):
-                multiproc_er(problem, 1, pool=pool, executor=pool.executor)
+            with pytest.raises(SearchError, match="trace mode"):
+                multiproc_er(problem, 1, pool=pool, trace="full")
 
     def test_game_engine_on_shared_pool(self) -> None:
         game = RandomGameTree(3, 4, seed=11)

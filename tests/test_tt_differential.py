@@ -26,7 +26,7 @@ from repro.games.base import SearchProblem
 from repro.games.connect4 import ConnectFour
 from repro.games.othello import Othello
 from repro.games.random_tree import RandomGameTree, SyntheticOrderedTree
-from repro.parallel.multiproc import multiproc_er
+from repro.parallel.multiproc import LocalPool, multiproc_er
 from repro.parallel.threaded import threaded_er
 from repro.search.alphabeta import alphabeta
 from repro.search.transposition import TranspositionTable
@@ -149,12 +149,23 @@ class TestMultiprocDifferential:
         if mode != "off":
             assert result.stats.tt_probes > 0
 
-    def test_shared_mode_rejects_foreign_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
+    def test_borrowed_pool_tt_mode_wins(self):
+        """A borrowed pool's table, not the ``tt_mode`` argument, is used."""
+        problem = SearchProblem(RandomGameTree(3, 4, seed=1), depth=4)
+        truth = oracle(problem)
+        with LocalPool(1, tt_mode="off") as pool:
+            result = multiproc_er(problem, 1, pool=pool, tt_mode="shared")
+        assert result.value == truth
+        assert result.stats.tt_probes == 0
+        with LocalPool(1, tt_mode="shared") as pool:
+            result = multiproc_er(problem, 1, pool=pool, tt_mode="off")
+        assert result.value == truth
+        assert result.stats.tt_probes > 0
 
+    def test_borrowed_pool_trace_mismatch_raises(self):
         from repro.errors import SearchError
 
         problem = SearchProblem(RandomGameTree(3, 4, seed=1), depth=4)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(SearchError):
-                multiproc_er(problem, 1, executor=pool, tt_mode="shared")
+        with LocalPool(1) as pool:
+            with pytest.raises(SearchError, match="trace mode"):
+                multiproc_er(problem, 1, pool=pool, trace="full")

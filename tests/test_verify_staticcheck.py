@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.verify.staticcheck import (
     LintFinding,
     check_critpath_coverage,
@@ -188,6 +190,25 @@ def test_ver004_module_function_submission_allowed() -> None:
         """
     )
     assert check_file("parallel/multiproc_fake.py", source=source, rules={"VER004"}) == []
+
+
+@pytest.mark.parametrize("path", ["serve/pool.py", "parallel/workers.py"])
+def test_ver004_closure_or_lambda_on_the_worker_pool_flagged(path: str) -> None:
+    """Every pickle boundary is checked, by inference from its file name."""
+    source = _src(
+        """
+        from repro.parallel.multiproc import _run_task
+
+        def run(pool, payload):
+            def task():
+                return payload
+            pool.executor.submit(_run_task, payload)
+            pool.executor.submit(task)
+            return pool.executor.submit_to(0, lambda: payload)
+        """
+    )
+    findings = check_file(path, source=source)
+    assert [(f.rule, f.line) for f in findings] == [("VER004", 7), ("VER004", 8)]
 
 
 # ---------------------------------------------------------------------------
